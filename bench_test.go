@@ -478,8 +478,9 @@ func BenchmarkSimulatorRun(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceMerge measures the single-core schedule merge of one
-// functional-block iteration.
+// BenchmarkTraceMerge measures walking the single-core schedule of one
+// functional-block iteration through a reused merge cursor, the way the
+// simulator replays it (nothing is materialised).
 func BenchmarkTraceMerge(b *testing.B) {
 	w, _ := benchWorkload(b)
 	var it *trace.Iteration
@@ -489,9 +490,15 @@ func BenchmarkTraceMerge(b *testing.B) {
 			break
 		}
 	}
+	var m trace.Merger
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trace.Merge(it.Loads)
+		m.Reset(it.Loads)
+		for {
+			if _, ok := m.Next(); !ok {
+				break
+			}
+		}
 	}
 }
 

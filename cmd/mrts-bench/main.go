@@ -23,12 +23,12 @@ import (
 )
 
 // defaultPattern selects the fast, deterministic micro/meso benches of the
-// selection fast path; the figure-level benches are too slow and noisy for
-// a CI guard.
+// selection fast path and the dispatch loop; the figure-level benches are
+// too slow and noisy for a CI guard.
 const defaultPattern = "BenchmarkProfitFunction$|BenchmarkGreedySelection$|BenchmarkOptimalSelection$|" +
 	"BenchmarkSelectionCached$|BenchmarkSelectionUncached$|BenchmarkSelectionObserved$|BenchmarkGreedyIncremental|" +
 	"BenchmarkSelectorScalability|BenchmarkOptimalScalability|BenchmarkServiceThroughput$|" +
-	"BenchmarkBatchSelection|BenchmarkSweepWallclock|BenchmarkPhasedPrediction"
+	"BenchmarkBatchSelection|BenchmarkSweepWallclock|BenchmarkPhasedPrediction|BenchmarkSimulatorRun$|BenchmarkTraceMerge$"
 
 type metrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`

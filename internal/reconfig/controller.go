@@ -144,6 +144,16 @@ type Controller struct {
 	// last TakeInvalidated call, for the runtime system to invalidate
 	// the ISEs that reference them.
 	invalidated []ise.DataPathID
+	// noVictim[kind] records that the last eviction scan of the kind found
+	// no unpinned data path, so the next scan can be skipped. Only commit
+	// unpins and Request always pins, so no unpinned path can appear until
+	// commit or Reset clears the flag. It matters for the ECU, which asks
+	// for a monoCG slot on every RISC-mode execution of a fabric that
+	// holds only pinned paths.
+	noVictim [2]bool
+	// scanAlways ignores noVictim; tests set it on a reference controller
+	// to check that skipping scans is never observable.
+	scanAlways bool
 
 	stats Stats
 }
@@ -194,6 +204,7 @@ func (c *Controller) Reset() {
 	c.verifier = nil
 	c.obsr = nil
 	c.invalidated = nil
+	c.noVictim = [2]bool{}
 	c.stats = Stats{}
 }
 
@@ -303,12 +314,19 @@ func (c *Controller) evict(kind arch.FabricKind, units int) int {
 // the given pin state until `units` capacity units are freed. record logs
 // the removed paths as fault-invalidated (container failures only).
 func (c *Controller) evictPass(kind arch.FabricKind, units int, pinned, record bool) int {
+	if !pinned && c.noVictim[kind] && !c.scanAlways {
+		return 0
+	}
 	var cands []*slot
 	for _, s := range c.paths {
 		if s.pinned != pinned || s.dp.Kind != kind {
 			continue
 		}
 		cands = append(cands, s)
+	}
+	if !pinned && len(cands) == 0 {
+		c.noVictim[kind] = true
+		return 0
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].ready != cands[j].ready {
@@ -599,6 +617,7 @@ func (c *Controller) commit(selected []*ise.ISE, now arch.Cycles, tolerate bool)
 	for _, s := range c.paths {
 		s.pinned = false
 	}
+	c.noVictim = [2]bool{}
 	// monoCG slots do not survive a new selection: the CG-EDPEs they
 	// borrow must be available for the committed data paths.
 	c.releaseAllMono()

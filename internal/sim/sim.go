@@ -177,14 +177,18 @@ type Stepper struct {
 	t    arch.Cycles
 	next int
 
-	// Per-Step scratch, reused across iterations: the kernel-tracking map
-	// and its arena, and the observation batch handed to OnBlockEnd. The
+	// Per-Step scratch, reused across iterations and sized for the
+	// trace's largest iteration: the merge cursor, the per-load kernels and
+	// track slots (loads naming the same kernel share one slot), the
+	// per-slot tracks, and the observation batch handed to OnBlockEnd. The
 	// runtime-system contract is that OnBlockEnd consumes the observations
 	// synchronously (the MPU copies what it keeps), so the slice can be
 	// recycled next Step.
-	tracks   map[ise.KernelID]*track
-	trackBuf []track
-	obsvBuf  []mpu.Observation
+	merger  trace.Merger
+	kernels []*ise.Kernel
+	slots   []int
+	tracks  []track
+	obsvBuf []mpu.Observation
 }
 
 // NewStepper validates the trace, resets the runtime system, applies the
@@ -230,6 +234,10 @@ func NewStepper(app *ise.Application, tr *trace.Trace, rts core.RuntimeSystem, o
 		})
 	}
 	fh, reacts := rts.(core.FaultHandler)
+	maxLoads := 0
+	for i := range tr.Iterations {
+		maxLoads = max(maxLoads, len(tr.Iterations[i].Loads))
+	}
 	return &Stepper{
 		app:    app,
 		tr:     tr,
@@ -239,6 +247,10 @@ func NewStepper(app *ise.Application, tr *trace.Trace, rts core.RuntimeSystem, o
 		eng:    eng,
 		fh:     fh,
 		reacts: reacts,
+
+		kernels: make([]*ise.Kernel, 0, maxLoads),
+		slots:   make([]int, 0, maxLoads),
+		tracks:  make([]track, maxLoads),
 		rep: &Report{
 			Policy:          rts.Name(),
 			Config:          rts.Controller().Config(),
@@ -365,24 +377,25 @@ func (s *Stepper) Step() error {
 	t += it.Prologue
 	rep.SoftwareCycles += it.Prologue
 
-	// Replay the merged single-core execution schedule (memoized on the
-	// trace — identical for every run over the same workload).
-	if s.tracks == nil {
-		s.tracks = make(map[ise.KernelID]*track, len(it.Loads))
-	} else {
-		clear(s.tracks)
+	// Replay the merged single-core execution schedule. Kernels and track
+	// slots are resolved once per load, not once per execution.
+	loads := it.Loads
+	kernels := s.kernels[:0]
+	for _, l := range loads {
+		kernels = append(kernels, blk.Kernel(l.Kernel))
 	}
-	// The arena must never reallocate mid-loop (the map holds pointers
-	// into it); one entry per load is an upper bound on distinct kernels.
-	if cap(s.trackBuf) < len(it.Loads) {
-		s.trackBuf = make([]track, 0, len(it.Loads))
-	}
-	s.trackBuf = s.trackBuf[:0]
-	tracks := s.tracks
-	for _, ev := range s.tr.MergedLoads(i) {
-		k := blk.Kernel(ev.Kernel)
-		t += ev.Gap
-		rep.SoftwareCycles += ev.Gap
+	slots := trace.KernelSlots(loads, s.slots[:0])
+	tracks := s.tracks[:len(loads)]
+	clear(tracks)
+	s.merger.Reset(loads)
+	for {
+		j, ok := s.merger.Next()
+		if !ok {
+			break
+		}
+		gap := loads[j].GapSW
+		t += gap
+		rep.SoftwareCycles += gap
 
 		fv, err := s.deliver(t)
 		if err != nil {
@@ -391,17 +404,15 @@ func (s *Stepper) Step() error {
 		t += fv
 		rep.OverheadCycles += fv
 
-		d := s.rts.Execute(k, t)
+		d := s.rts.Execute(kernels[j], t)
 		rep.ModeExecs[d.Mode]++
 		rep.ModeCycles[d.Mode] += d.Latency
 		rep.KernelCycles += d.Latency
 		rep.Executions++
 
-		tk := tracks[ev.Kernel]
-		if tk == nil {
-			s.trackBuf = append(s.trackBuf, track{first: t - start})
-			tk = &s.trackBuf[len(s.trackBuf)-1]
-			tracks[ev.Kernel] = tk
+		tk := &tracks[slots[j]]
+		if tk.n == 0 {
+			tk.first = t - start
 		} else {
 			tk.gaps += t - tk.lastEnd
 		}
@@ -412,9 +423,9 @@ func (s *Stepper) Step() error {
 
 	// Monitored ground truth for the MPU.
 	obsv := s.obsvBuf[:0]
-	for _, l := range it.Loads {
-		tk, ok := tracks[l.Kernel]
-		if !ok {
+	for j, l := range loads {
+		tk := &tracks[slots[j]]
+		if tk.n == 0 {
 			continue
 		}
 		var tb arch.Cycles

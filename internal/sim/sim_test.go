@@ -200,3 +200,50 @@ func TestRunReserved(t *testing.T) {
 		t.Error("over-budget reservation accepted")
 	}
 }
+
+// TestStepAllocFree pins the dispatch loop's allocation budget: with the
+// RISC-only policy and no observer, a warmed Stepper replays an iteration
+// — merge cursor, kernel resolution, tracks and MPU observations included
+// — without allocating.
+func TestStepAllocFree(t *testing.T) {
+	mk := func(id ise.KernelID, lat arch.Cycles) *ise.Kernel {
+		return &ise.Kernel{ID: id, RISCLatency: lat}
+	}
+	blk := &ise.FunctionalBlock{ID: "b", Kernels: []*ise.Kernel{mk("x", 100), mk("y", 70), mk("z", 30)}}
+	app, err := ise.NewApplication("alloc", blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{App: "alloc"}
+	for i := 0; i < 200; i++ {
+		tr.Iterations = append(tr.Iterations, trace.Iteration{
+			Block: "b", Seq: i, Phase: []string{"", "p"}[i%2], Prologue: 50,
+			Loads: []trace.KernelLoad{
+				{Kernel: "x", E: 12, GapSW: 5},
+				{Kernel: "y", E: 7, GapSW: 3},
+				{Kernel: "x", E: 4, GapSW: 2},
+				{Kernel: "z", E: 0},
+			},
+		})
+	}
+	if err := tr.BuildProfile(app); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStepper(app, tr, core.NewRISCOnly(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warmed Step allocates %.1f times per iteration, want 0", allocs)
+	}
+}

@@ -10,9 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"strings"
-	"sync"
 
 	"mrts/internal/arch"
 	"mrts/internal/ise"
@@ -67,28 +66,6 @@ type Trace struct {
 	Profile map[string][]ise.Trigger `json:"profile"`
 	// Iterations is the dynamic block sequence in program order.
 	Iterations []Iteration `json:"iterations"`
-
-	// merged memoizes Merge(Iterations[i].Loads) for every iteration. A
-	// trace is immutable once built but replayed once per (policy,
-	// resource-point) pair of a sweep, so re-deriving the merged schedule
-	// per run is pure waste. Built lazily by MergedLoads, safe for
-	// concurrent replays via mergeOnce.
-	merged    [][]Event
-	mergeOnce sync.Once
-}
-
-// MergedLoads returns the merged single-core execution schedule of
-// iteration i — Merge(tr.Iterations[i].Loads), computed once per trace and
-// shared by every subsequent replay. Callers must not mutate the returned
-// slice. The trace must not be modified after the first call.
-func (tr *Trace) MergedLoads(i int) []Event {
-	tr.mergeOnce.Do(func() {
-		tr.merged = make([][]Event, len(tr.Iterations))
-		for j := range tr.Iterations {
-			tr.merged[j] = Merge(tr.Iterations[j].Loads)
-		}
-	})
-	return tr.merged[i]
 }
 
 // Validate checks the trace against an application.
@@ -134,44 +111,109 @@ type Event struct {
 }
 
 // Merge interleaves the kernel loads of an iteration into the single-core
-// execution order. Executions of different kernels are merged by fractional
-// position ((j+0.5)/E), modelling the loop structure of real functional
-// blocks where kernels alternate per macroblock; ties break by kernel ID so
-// the schedule is deterministic.
+// execution order, materialised as one Event per execution. It drains a
+// Merger; replay loops walk the Merger directly and allocate nothing.
 func Merge(loads []KernelLoad) []Event {
-	type cursor struct {
-		load KernelLoad
-		next int64
-	}
 	var total int64
-	curs := make([]cursor, 0, len(loads))
 	for _, l := range loads {
+		if l.E > 0 {
+			total += l.E
+		}
+	}
+	events := make([]Event, 0, total)
+	var m Merger
+	m.Reset(loads)
+	for {
+		i, ok := m.Next()
+		if !ok {
+			return events
+		}
+		events = append(events, Event{Kernel: loads[i].Kernel, Gap: loads[i].GapSW})
+	}
+}
+
+// Merger is a reusable cursor over the single-core execution order of an
+// iteration's kernel loads. Executions of different kernels are merged by
+// fractional position ((j+0.5)/E), modelling the loop structure of real
+// functional blocks where kernels alternate per macroblock; ties break by
+// kernel ID (then load order) so the schedule is deterministic. After the
+// first Reset of a given size, Reset and Next allocate nothing.
+type Merger struct {
+	curs []mergeCursor
+}
+
+// mergeCursor walks one load: next executions have been emitted, and pos
+// caches the fractional position of the next one (+Inf once exhausted), so
+// each step costs one division.
+type mergeCursor struct {
+	load int
+	next int64
+	e    int64
+	pos  float64
+}
+
+func mergePos(next, e int64) float64 { return (float64(next) + 0.5) / float64(e) }
+
+// Reset positions the cursor before the first execution of loads. Loads
+// with E <= 0 never execute. The Merger keeps no reference to loads.
+func (m *Merger) Reset(loads []KernelLoad) {
+	if cap(m.curs) < len(loads) {
+		m.curs = make([]mergeCursor, 0, len(loads))
+	}
+	m.curs = m.curs[:0]
+	for i, l := range loads {
 		if l.E <= 0 {
 			continue
 		}
-		total += l.E
-		curs = append(curs, cursor{load: l})
+		// Insertion by kernel ID; equal IDs keep load order.
+		j := len(m.curs)
+		m.curs = append(m.curs, mergeCursor{})
+		for ; j > 0 && loads[m.curs[j-1].load].Kernel > l.Kernel; j-- {
+			m.curs[j] = m.curs[j-1]
+		}
+		m.curs[j] = mergeCursor{load: i, e: l.E, pos: mergePos(0, l.E)}
 	}
-	sort.Slice(curs, func(i, j int) bool { return curs[i].load.Kernel < curs[j].load.Kernel })
-	events := make([]Event, 0, total)
-	for int64(len(events)) < total {
-		best := -1
-		var bestPos float64
-		for i := range curs {
-			c := &curs[i]
-			if c.next >= c.load.E {
-				continue
-			}
-			pos := (float64(c.next) + 0.5) / float64(c.load.E)
-			if best < 0 || pos < bestPos {
-				best, bestPos = i, pos
+}
+
+// Next returns the index (into the loads passed to Reset) of the load
+// whose kernel executes next, or ok == false once every execution has been
+// emitted.
+func (m *Merger) Next() (load int, ok bool) {
+	best := -1
+	bestPos := math.Inf(1)
+	for i := range m.curs {
+		if p := m.curs[i].pos; p < bestPos {
+			best, bestPos = i, p
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	c := &m.curs[best]
+	c.next++
+	if c.next < c.e {
+		c.pos = mergePos(c.next, c.e)
+	} else {
+		c.pos = math.Inf(1)
+	}
+	return c.load, true
+}
+
+// KernelSlots appends to dst, for every load, the index of the first load
+// naming the same kernel: loads that repeat a kernel share its slot. Replay
+// loops keep per-kernel state in a slice indexed by slot instead of a map.
+func KernelSlots(loads []KernelLoad, dst []int) []int {
+	for i, l := range loads {
+		slot := i
+		for j := 0; j < i; j++ {
+			if loads[j].Kernel == l.Kernel {
+				slot = j
+				break
 			}
 		}
-		c := &curs[best]
-		events = append(events, Event{Kernel: c.load.Kernel, Gap: c.load.GapSW})
-		c.next++
+		dst = append(dst, slot)
 	}
-	return events
+	return dst
 }
 
 // RISCTriggers computes the trigger tuple {K, e, tf, tb} of one iteration
@@ -190,18 +232,29 @@ func RISCTriggers(app *ise.Application, it *Iteration) ([]ise.Trigger, error) {
 		gaps    arch.Cycles
 		n       int64
 	}
-	tracks := make(map[ise.KernelID]*track, len(it.Loads))
+	slots := KernelSlots(it.Loads, make([]int, 0, len(it.Loads)))
+	tracks := make([]track, len(it.Loads))
+	kernels := make([]*ise.Kernel, len(it.Loads))
 	t := it.Prologue
-	for _, ev := range Merge(it.Loads) {
-		k := blk.Kernel(ev.Kernel)
-		if k == nil {
-			return nil, fmt.Errorf("trace: unknown kernel %q in block %q", ev.Kernel, it.Block)
+	var m Merger
+	m.Reset(it.Loads)
+	for {
+		j, ok := m.Next()
+		if !ok {
+			break
 		}
-		t += ev.Gap
-		tr := tracks[ev.Kernel]
-		if tr == nil {
-			tr = &track{first: t}
-			tracks[ev.Kernel] = tr
+		l := &it.Loads[j]
+		k := kernels[j]
+		if k == nil {
+			if k = blk.Kernel(l.Kernel); k == nil {
+				return nil, fmt.Errorf("trace: unknown kernel %q in block %q", l.Kernel, it.Block)
+			}
+			kernels[j] = k
+		}
+		t += l.GapSW
+		tr := &tracks[slots[j]]
+		if tr.n == 0 {
+			tr.first = t
 		} else {
 			tr.gaps += t - tr.lastEnd
 		}
@@ -209,10 +262,10 @@ func RISCTriggers(app *ise.Application, it *Iteration) ([]ise.Trigger, error) {
 		t += k.RISCLatency
 		tr.lastEnd = t
 	}
-	out := make([]ise.Trigger, 0, len(tracks))
-	for _, l := range it.Loads {
-		tr, ok := tracks[l.Kernel]
-		if !ok {
+	out := make([]ise.Trigger, 0, len(it.Loads))
+	for j, l := range it.Loads {
+		tr := &tracks[slots[j]]
+		if tr.n == 0 {
 			continue
 		}
 		var tb arch.Cycles
